@@ -8,7 +8,10 @@ let policy ?(rule = Dbp_binpack.Heuristics.First_fit) () store =
     match Hashtbl.find_opt classes cls with
     | Some g -> g
     | None ->
-        let g = Fit_group.create ~rule ~label:(Printf.sprintf "class%d" cls) () in
+        let g =
+          Fit_group.create ~rule ~dims:(Bin_store.dims store)
+            ~label:(Printf.sprintf "class%d" cls) ()
+        in
         Hashtbl.replace classes cls g;
         g
   in

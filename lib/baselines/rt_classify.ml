@@ -19,7 +19,10 @@ let policy ?(rule = Dbp_binpack.Heuristics.First_fit) ~classes ~mu_hint
     match Hashtbl.find_opt groups cls with
     | Some g -> g
     | None ->
-        let g = Fit_group.create ~rule ~label:(Printf.sprintf "rt%d" cls) () in
+        let g =
+          Fit_group.create ~rule ~dims:(Bin_store.dims store)
+            ~label:(Printf.sprintf "rt%d" cls) ()
+        in
         Hashtbl.replace groups cls g;
         g
   in

@@ -9,100 +9,79 @@ open Dbp_sim
    forever). It inserts only when the minimal extension is strictly
    below the item's duration, else opens a new bin.
 
-   The old implementation scanned every open bin per arrival. The scan
-   decomposes into two Fit_tree descents over (residual, score=horizon)
-   leaves:
+   The scan decomposes into two fit-index queries over slots holding
+   one residual column per dimension and the horizon as the last
+   column, with the item's sizes as the residual thresholds:
    - a bin with horizon >= departure has extension 0, the global
      minimum; the scan would keep the first such bin, which is exactly
-     [first_fit_by ~need ~min_score:departure] (extension 0 is always
-     < duration, so this is an unconditional insert);
+     [first_fit_all] with the departure as the horizon threshold
+     (extension 0 is always < duration, so this is an unconditional
+     insert);
    - otherwise every fitting bin has extension departure - horizon > 0,
      minimized by the maximum horizon, first-attained on ties — exactly
-     [best_score_idx ~need]. *)
+     [best_score_idx]. *)
 let policy store =
-  let index = Fit_tree.create () in
+  let dims = Bin_store.dims store in
+  let index = Ff_index.create ~columns:(dims + 1) () in
+  let need = Array.make (dims + 1) 0 in
   let bin_of_slot : Bin_store.bin_id Vec.t = Vec.create () in
   let slot_of_bin = Imap.create ~capacity:16 () in
-  let resid bin = Load.to_units (Bin_store.residual store bin) in
+  let horizon slot = Ff_index.column index slot dims in
+  let sync slot bin =
+    for k = 0 to dims - 1 do
+      Ff_index.set_col index slot k (Bin_store.residual_units_dim store bin k)
+    done
+  in
+  (* The horizon is a high-water mark: it only ever grows, on insertion
+     (departures free capacity but leave it). *)
+  let raise_horizon slot h = if h > horizon slot then Ff_index.set_col index slot dims h in
   let on_arrival ~now (r : Item.t) =
-    let need = Load.to_units r.size in
-    let insert_at slot ~horizon =
+    let insert_at slot =
       let bin = Vec.get bin_of_slot slot in
       Bin_store.insert store bin r;
-      Fit_tree.set index slot ~residual:(resid bin) ~score:horizon;
+      sync slot bin;
+      raise_horizon slot r.departure;
       bin
     in
     let open_fresh () =
       let bin = Bin_store.open_bin store ~now ~label:"SG" in
       Bin_store.insert store bin r;
-      let slot = Fit_tree.push index ~residual:(resid bin) ~score:r.departure in
+      let slot = Ff_index.push index ~residual:(Bin_store.residual_units store bin) in
+      sync slot bin;
+      raise_horizon slot r.departure;
       Vec.push bin_of_slot bin;
       Imap.set slot_of_bin bin slot;
       bin
     in
-    if Bin_store.dims store = 1 then begin
-      match Fit_tree.first_fit_by index ~need ~min_score:r.departure with
-      | slot when slot >= 0 ->
-          (* Extension 0: the horizon already covers the item. *)
-          insert_at slot ~horizon:(Fit_tree.score index slot)
-      | _ -> (
-          match Fit_tree.best_score_idx index ~need with
-          | slot
-            when slot >= 0 && r.departure - Fit_tree.score index slot < Item.duration r
-            ->
-              insert_at slot ~horizon:r.departure
-          | _ -> open_fresh ())
-    end
-    else begin
-      (* Vector mode: one linear pass computes both descents' answers
-         over the bins that fit in {e every} dimension — the first
-         extension-0 slot (horizon >= departure) and the first
-         max-horizon slot. Same selection as the scalar branch, with
-         the all-dimension fit predicate. *)
-      let e0, bs, bsc =
-        Fit_tree.fold_active index ~init:(-1, -1, min_int)
-          ~f:(fun ((e0, bs, bsc) as acc) slot res score ->
-            if
-              e0 >= 0 || res < need
-              || not (Bin_store.fits_extra store (Vec.get bin_of_slot slot) r.extra)
-            then acc
-            else if score >= r.departure then (slot, bs, bsc)
-            else if score > bsc then (e0, slot, score)
-            else acc)
-      in
-      if e0 >= 0 then insert_at e0 ~horizon:(Fit_tree.score index e0)
-      else if bs >= 0 && r.departure - bsc < Item.duration r then
-        insert_at bs ~horizon:r.departure
-      else open_fresh ()
-    end
+    need.(0) <- Load.to_units r.size;
+    for k = 1 to dims - 1 do
+      need.(k) <- r.extra.(k - 1)
+    done;
+    need.(dims) <- r.departure;
+    match Ff_index.first_fit_all index need with
+    | slot when slot >= 0 ->
+        (* Extension 0: the horizon already covers the item. *)
+        insert_at slot
+    | _ -> (
+        match Ff_index.best_score_idx index need with
+        | slot when slot >= 0 && r.departure - horizon slot < Item.duration r -> insert_at slot
+        | _ -> open_fresh ())
   in
   let on_departure ~now:_ _ ~bin ~closed =
     let slot = Imap.find slot_of_bin bin in
     if closed then begin
-      Fit_tree.deactivate index slot;
+      Ff_index.deactivate index slot;
       Imap.remove slot_of_bin bin
     end
-    else
-      (* Departures free capacity the placement index must see; the
-         horizon is a high-water mark and survives them. *)
-      Fit_tree.set index slot ~residual:(resid bin)
-        ~score:(Fit_tree.score index slot)
+    else sync slot bin
   in
   (* A relocation frees capacity at the source (or closes it) and
-     consumes capacity at the destination; the destination's horizon is
-     a high-water mark, so it only ever grows — to the moved item's
-     departure if that exceeds it. *)
-  let on_move ~now:_ (r : Item.t) ~src ~dst ~closed =
-    let slot = Imap.find slot_of_bin src in
-    if closed then begin
-      Fit_tree.deactivate index slot;
-      Imap.remove slot_of_bin src
-    end
-    else
-      Fit_tree.set index slot ~residual:(resid src)
-        ~score:(Fit_tree.score index slot);
+     consumes capacity at the destination, whose horizon grows to the
+     moved item's departure if that exceeds it. *)
+  let on_move ~now (r : Item.t) ~src ~dst ~closed =
+    on_departure ~now r ~bin:src ~closed;
     let dslot = Imap.find slot_of_bin dst in
-    Fit_tree.set index dslot ~residual:(resid dst)
-      ~score:(max (Fit_tree.score index dslot) r.departure)
+    sync dslot dst;
+    raise_horizon dslot r.departure
   in
   { Policy.name = "SpanGreedy"; on_arrival; on_departure; on_move = Some on_move }

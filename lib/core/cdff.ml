@@ -32,7 +32,10 @@ let make ?(rule = Dbp_binpack.Heuristics.First_fit) gauge store =
     match Hashtbl.find_opt rows r with
     | Some grp -> grp
     | None ->
-        let grp = Fit_group.create ~rule ~label:(Printf.sprintf "row%d" r) () in
+        let grp =
+          Fit_group.create ~rule ~dims:(Bin_store.dims store)
+            ~label:(Printf.sprintf "row%d" r) ()
+        in
         Hashtbl.replace rows r grp;
         grp
   in

@@ -27,14 +27,14 @@ let pack_ty ~cls ~block = (block lsl 6) lor cls
 
 let make ?(rule = Dbp_binpack.Heuristics.First_fit) ?(threshold = default_threshold) gauge
     store =
-  let gn = Fit_group.create ~rule ~label:"GN" () in
+  let dims = Bin_store.dims store in
+  let gn = Fit_group.create ~rule ~dims ~label:"GN" () in
   let cd : (int, Fit_group.t) Hashtbl.t = Hashtbl.create 32 in
   let type_load = Imap.create ~capacity:32 () in
   (* Vector stores: per-type accumulated load in dimensions 1..d-1; the
      admission gauge is then the max over dimensions, so a type whose
      load crosses the threshold in {e any} resource goes to CD bins.
      Empty (and never touched) at d = 1. *)
-  let dims = Bin_store.dims store in
   let type_extra : (int, int array) Hashtbl.t = Hashtbl.create 32 in
   let owner : (Bin_store.bin_id, Fit_group.t) Hashtbl.t = Hashtbl.create 64 in
   let classes = Hashtbl.create 8 in
@@ -52,7 +52,7 @@ let make ?(rule = Dbp_binpack.Heuristics.First_fit) ?(threshold = default_thresh
     | Some grp -> grp
     | None ->
         let grp =
-          Fit_group.create ~rule ~label:(Printf.sprintf "CD(%d,%d)" cls block) ()
+          Fit_group.create ~rule ~dims ~label:(Printf.sprintf "CD(%d,%d)" cls block) ()
         in
         Hashtbl.replace cd ty grp;
         grp

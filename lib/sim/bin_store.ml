@@ -414,9 +414,8 @@ let load_units_dim t id k =
 
 let residual_units_dim t id k = Load.capacity - load_units_dim t id k
 
-(* The vector fit predicate the placement scan uses: dimension 0 is
-   pre-filtered by the caller's index, so only dimensions 1.. are
-   checked here. *)
+(* The vector fit predicate over dimensions 1.. only; dimension 0 is
+   the caller's to check. *)
 let fits_extra t id (extra : int array) =
   let ok = ref true in
   for k = 0 to t.dims - 2 do

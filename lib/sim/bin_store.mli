@@ -147,9 +147,8 @@ val residual_units_dim : t -> bin_id -> int -> int
 val fits_extra : t -> bin_id -> int array -> bool
 (** Whether the bin can accept an item whose extra-dimension sizes are
     the given array (length [dims - 1]) — dimensions 1.. only; the
-    caller has already checked dimension 0 against its fit index.
-    Vacuously true on a scalar store. No bounds or liveness checks:
-    this is the inner loop of the vector placement scan. *)
+    caller checks dimension 0. Vacuously true on a scalar store. No
+    bounds or liveness checks. *)
 
 val is_open : t -> bin_id -> bool
 val label : t -> bin_id -> string

@@ -2,17 +2,12 @@ open Dbp_util
 open Dbp_instance
 module H = Dbp_binpack.Heuristics
 
-(* First-Fit and Next-Fit only ever need the leftmost-fit query, which
-   the single-aggregate segment tree answers with one descent; Best-Fit
-   and Worst-Fit need min/max-residual queries, which live in the
-   three-aggregate tournament tree. Splitting by rule keeps the FF hot
-   path on the leaner structure. *)
-type index = Ff of Ff_index.t | Tree of Fit_tree.t
-
 type t = {
   rule : H.rule;
+  dims : int;
   mutable glabel : string;
-  index : index;
+  index : Ff_index.t;
+  need : int array;  (** vector thresholds, one per dimension, refilled per arrival *)
   gid : int;  (** process-unique group id, tags the bin cookies below *)
   bin_of_slot : Bin_store.bin_id Vec.t;
   slot_of_bin : Imap.t;
@@ -32,48 +27,32 @@ let next_gid = ref 0
 let cookie_slot_bits = 32
 let cookie_slot_mask = (1 lsl cookie_slot_bits) - 1
 
-let create ?(rule = H.First_fit) ~label () =
-  let index =
-    match rule with
-    (* Best-Fit pays for the successor array (one binary search per
-       placement); Worst-Fit's query is an exact tree descent and
-       skips it. *)
-    | H.Best_fit -> Tree (Fit_tree.create ~successor:true ())
-    | H.Worst_fit -> Tree (Fit_tree.create ())
-    | H.First_fit | H.Next_fit -> Ff (Ff_index.create ())
-  in
+(* The index has one column per dimension. At d > 1, Best/Worst-Fit
+   score fitting bins by the L1 norm of the residual vector (DESIGN.md,
+   "Vector loads"), kept in one more column as a quantity to maximize:
+   the L1 residual for WF, the L1 load for BF — so both rules are one
+   [best_score_idx] query. At d = 1 Best-Fit uses the index's sorted
+   keys instead, and Worst-Fit the column-0 maximum. *)
+let scored rule dims =
+  dims > 1 && match rule with H.Best_fit | H.Worst_fit -> true | _ -> false
+
+let create ?(rule = H.First_fit) ~dims ~label () =
+  if dims < 1 then invalid_arg "Fit_group.create: dims < 1";
+  let columns = if scored rule dims then dims + 1 else dims in
+  let successor = dims = 1 && rule = H.Best_fit in
   incr next_gid;
   {
     rule;
+    dims;
     glabel = label;
-    index;
+    index = Ff_index.create ~columns ~successor ();
+    need = Array.make dims 0;
     gid = !next_gid;
     bin_of_slot = Vec.create ();
     slot_of_bin = Imap.create ~capacity:16 ();
     n_open = 0;
     last_slot = -1;
   }
-
-let idx_push index ~residual =
-  match index with
-  | Ff i -> Ff_index.push i ~residual
-  | Tree i -> Fit_tree.push i ~residual ~score:0
-
-let idx_set index slot residual =
-  match index with
-  | Ff i -> Ff_index.set i slot residual
-  | Tree i -> Fit_tree.set i slot ~residual ~score:0
-
-let idx_deactivate index slot =
-  match index with
-  | Ff i -> Ff_index.deactivate i slot
-  | Tree i -> Fit_tree.deactivate i slot
-
-let idx_length index =
-  match index with Ff i -> Ff_index.length i | Tree i -> Fit_tree.length i
-
-let idx_active index =
-  match index with Ff i -> Ff_index.active i | Tree i -> Fit_tree.active i
 
 let label t = t.glabel
 let open_count t = t.n_open
@@ -85,106 +64,88 @@ let relabel t store label =
 let owns t bin = Imap.mem t.slot_of_bin bin
 
 let open_bins t =
-  idx_active t.index |> List.map (fun slot -> Vec.get t.bin_of_slot slot)
+  Ff_index.active t.index |> List.map (fun slot -> Vec.get t.bin_of_slot slot)
 
-(* Slot selection per rule, -1 when nothing fits. Every rule is a
-   single index descent; ties break toward the smallest slot = the
-   earliest-opened bin (the tree contract, pinned by tests). *)
+(* Resync a slot's columns after its bin changed: dimension 0's residual
+   comes from the caller (the store hands it back on insert), the other
+   dimensions are read from the store, and the score column follows
+   them. *)
+let sync_extra t store slot bin residual =
+  let l1 = ref residual in
+  for k = 1 to t.dims - 1 do
+    let r = Bin_store.residual_units_dim store bin k in
+    Ff_index.set_col t.index slot k r;
+    l1 := !l1 + r
+  done;
+  match t.rule with
+  | H.Worst_fit -> Ff_index.set_col t.index slot t.dims !l1
+  | H.Best_fit -> Ff_index.set_col t.index slot t.dims ((t.dims * Load.capacity) - !l1)
+  | H.First_fit | H.Next_fit -> ()
+
+let sync t store slot bin residual =
+  Ff_index.set t.index slot residual;
+  if t.dims > 1 then sync_extra t store slot bin residual
+
+(* Scalar slot selection, -1 when nothing fits. Every rule is a single
+   index query; ties break toward the smallest slot = the
+   earliest-opened bin (the index contract, pinned by tests). *)
 let choose_slot t need =
-  match t.index, t.rule with
-  | Ff i, H.First_fit -> Ff_index.first_fit_idx i need
-  | Ff i, H.Next_fit ->
-      if t.last_slot >= 0 && Ff_index.residual i t.last_slot >= need then
-        t.last_slot
+  let i = t.index in
+  match t.rule with
+  | H.First_fit -> Ff_index.first_fit_idx i need
+  | H.Next_fit ->
+      if t.last_slot >= 0 && Ff_index.residual i t.last_slot >= need then t.last_slot
       else -1
-  | Tree i, H.Best_fit -> Fit_tree.best_fit_idx i need
-  | Tree i, H.Worst_fit -> Fit_tree.worst_fit_idx i need
-  | Ff _, (H.Best_fit | H.Worst_fit) | Tree _, (H.First_fit | H.Next_fit) ->
-      assert false (* create pairs each rule with its index *)
+  | H.Best_fit -> Ff_index.best_fit_idx i need
+  | H.Worst_fit -> Ff_index.worst_fit_idx i need
+
+(* Vector slot selection: the item's size in every dimension is a
+   threshold on that dimension's column, so each rule is still one
+   index query — FF the leftmost slot meeting them all, NF a check of
+   its last slot, BF/WF the best score among slots meeting them. *)
+let choose_slot_vec t (r : Item.t) need =
+  let nd = t.need in
+  nd.(0) <- need;
+  for k = 1 to t.dims - 1 do
+    nd.(k) <- r.extra.(k - 1)
+  done;
+  match t.rule with
+  | H.First_fit -> Ff_index.first_fit_all t.index nd
+  | H.Next_fit ->
+      if t.last_slot >= 0 && Ff_index.fits t.index t.last_slot nd then t.last_slot
+      else -1
+  | H.Best_fit | H.Worst_fit -> Ff_index.best_score_idx t.index nd
 
 let register t store bin ~residual =
-  let slot = idx_push t.index ~residual in
+  let slot = Ff_index.push t.index ~residual in
   Vec.push t.bin_of_slot bin;
-  assert (Vec.length t.bin_of_slot = idx_length t.index);
+  assert (Vec.length t.bin_of_slot = Ff_index.length t.index);
   assert (slot <= cookie_slot_mask);
   Imap.set t.slot_of_bin bin slot;
   Bin_store.set_cookie store bin ((t.gid lsl cookie_slot_bits) lor slot);
+  if t.dims > 1 then sync_extra t store slot bin residual;
   t.n_open <- t.n_open + 1;
   t.last_slot <- slot;
   slot
 
+(* Every bin a group gets is opened here (or re-registered against a
+   store of the group's own dims by [of_json]), so this is where a store
+   of another dimensionality is refused — before anything changes. *)
 let place_new t store ~now (r : Item.t) =
+  if Bin_store.dims store <> t.dims then
+    invalid_arg "Fit_group: the store's dims differ from the group's";
   let bin = Bin_store.open_bin store ~now ~label:t.glabel in
   let residual = Bin_store.insert_residual store bin r in
   ignore (register t store bin ~residual);
   bin
 
-(* Vector slot selection: the index still answers dimension 0 (its
-   residuals are dimension-0 residuals), and the store verifies
-   dimensions 1.. per candidate. First-Fit resumes the tree query past
-   each rejected candidate; Best/Worst-Fit score fitting bins by the L1
-   norm of the whole residual vector (min for BF, max for WF; ties
-   toward the smallest slot), which collapses to the scalar min/max
-   residual — and hence the scalar semantics — at one dimension. These
-   scans are O(open bins) in the worst case; the vector path is not
-   throughput-gated (DESIGN.md, "Vector loads"). *)
-let choose_slot_vec t store (r : Item.t) need =
-  match t.index, t.rule with
-  | Ff i, H.First_fit ->
-      let rec scan from =
-        match Ff_index.first_fit_idx_from i ~need ~from with
-        | -1 -> -1
-        | slot ->
-            if Bin_store.fits_extra store (Vec.get t.bin_of_slot slot) r.extra
-            then slot
-            else scan (slot + 1)
-      in
-      scan 0
-  | Ff i, H.Next_fit ->
-      if
-        t.last_slot >= 0
-        && Ff_index.residual i t.last_slot >= need
-        && Bin_store.fits_extra store (Vec.get t.bin_of_slot t.last_slot) r.extra
-      then t.last_slot
-      else -1
-  | Tree i, ((H.Best_fit | H.Worst_fit) as rule) ->
-      let dims = Bin_store.dims store in
-      let best, _ =
-        Fit_tree.fold_active i ~init:(-1, 0) ~f:(fun (bs, bscore) slot res _ ->
-            if res < need then (bs, bscore)
-            else begin
-              let bin = Vec.get t.bin_of_slot slot in
-              if not (Bin_store.fits_extra store bin r.extra) then (bs, bscore)
-              else begin
-                let score = ref res in
-                for k = 1 to dims - 1 do
-                  score := !score + Bin_store.residual_units_dim store bin k
-                done;
-                let better =
-                  bs < 0
-                  ||
-                  match rule with
-                  | H.Best_fit -> !score < bscore
-                  | _ -> !score > bscore
-                in
-                if better then (slot, !score) else (bs, bscore)
-              end
-            end)
-      in
-      best
-  | Ff _, (H.Best_fit | H.Worst_fit) | Tree _, (H.First_fit | H.Next_fit) ->
-      assert false
-
 let place t store ~now (r : Item.t) =
   let need = Load.to_units r.size in
-  let slot =
-    if Bin_store.dims store = 1 then choose_slot t need
-    else choose_slot_vec t store r need
-  in
+  let slot = if t.dims = 1 then choose_slot t need else choose_slot_vec t r need in
   if slot < 0 then place_new t store ~now r
   else begin
     let bin = Vec.get t.bin_of_slot slot in
-    idx_set t.index slot (Bin_store.insert_residual store bin r);
+    sync t store slot bin (Bin_store.insert_residual store bin r);
     t.last_slot <- slot;
     bin
   end
@@ -204,13 +165,11 @@ let slot_exn t bin op =
   slot
 
 let note_insert t store bin =
-  idx_set t.index
-    (slot_hot t store bin "note_insert")
-    (Bin_store.residual_units store bin)
+  sync t store (slot_hot t store bin "note_insert") bin (Bin_store.residual_units store bin)
 
 let note_close t bin =
   let slot = slot_exn t bin "note_close" in
-  idx_deactivate t.index slot;
+  Ff_index.deactivate t.index slot;
   Imap.remove t.slot_of_bin bin;
   t.n_open <- t.n_open - 1;
   if t.last_slot = slot then t.last_slot <- -1
@@ -224,9 +183,7 @@ let note_depart t store bin ~closed =
     if not (Bin_store.retire_mode store) then Bin_store.set_cookie store bin (-1)
   end
   else
-    idx_set t.index
-      (slot_hot t store bin "note_depart")
-      (Bin_store.residual_units store bin)
+    sync t store (slot_hot t store bin "note_depart") bin (Bin_store.residual_units store bin)
 
 (* --- policy wrapper ---
 
@@ -266,7 +223,7 @@ let policy_of t store =
 
 let policy ?name rule store =
   let name = Option.value name ~default:(rule_code rule) in
-  policy_of (create ~rule ~label:name ()) store
+  policy_of (create ~rule ~dims:(Bin_store.dims store) ~label:name ()) store
 
 (* --- snapshot codec ---
 
@@ -310,7 +267,7 @@ let of_json ~store j =
   let last_bin =
     match field "last_bin" with Json.Int b -> b | _ -> fail "last_bin: expected int"
   in
-  let t = create ~rule ~label () in
+  let t = create ~rule ~dims:(Bin_store.dims store) ~label () in
   (match field "bins" with
   | Json.List bins ->
       List.iter

@@ -5,7 +5,7 @@
     one group per duration class, HA one GN group plus one group per CD
     type, CDFF one group per row. This module owns the family's placement
     logic: pick a bin by the rule, open a new bin when none fits, and
-    keep the first-fit index in sync with the store.
+    keep the fit index ({!Ff_index}) in sync with the store.
 
     A bin belongs to exactly one group; the owning algorithm must call
     {!note_close} when the engine reports that a departure closed the
@@ -15,17 +15,19 @@ open Dbp_instance
 
 type t
 
-val create : ?rule:Dbp_binpack.Heuristics.rule -> label:string -> unit -> t
-(** A fresh empty group. [rule] defaults to [First_fit]. [label] prefixes
-    the labels of bins the group opens. *)
+val create :
+  ?rule:Dbp_binpack.Heuristics.rule -> dims:int -> label:string -> unit -> t
+(** A fresh empty group for a store of [dims] dimensions
+    ([Bin_store.dims]; the group raises [Invalid_argument] when it opens
+    a bin in a store of another dimensionality). [rule] defaults to
+    [First_fit]. [label] prefixes the labels of bins the group opens. *)
 
 val place : t -> Bin_store.t -> now:int -> Item.t -> Bin_store.bin_id
 (** Pack the item into the group, opening a new bin when no open bin of
     the group fits. On a vector ([dims > 1]) store, "fits" means fits
-    in every dimension: the index filters on dimension 0 and the store
-    checks the rest per candidate; Best/Worst-Fit then score fitting
-    bins by the L1 norm of the residual vector (see DESIGN.md, "Vector
-    loads"). *)
+    in every dimension, and Best/Worst-Fit score fitting bins by the L1
+    norm of the residual vector (see DESIGN.md, "Vector loads"). Every
+    rule is one index query at every [dims]. *)
 
 val place_new : t -> Bin_store.t -> now:int -> Item.t -> Bin_store.bin_id
 (** Force-open a new bin for the item (HA opens a fresh CD bin when a

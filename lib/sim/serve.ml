@@ -34,7 +34,14 @@ let m_batch_fill =
     ~buckets:[| 1; 4; 16; 64; 256; 1024 |]
     "serve.batch_fill"
 
-type shard = { eng : Engine.Interactive.t; group : Fit_group.t }
+type shard = {
+  eng : Engine.Interactive.t;
+  group : Fit_group.t;
+  live : (int, int) Hashtbl.t;
+      (** live item id -> departure for the ids routed here; rejects
+          duplicate live ids and is swept lazily so it stays O(live
+          items), not O(ids ever) *)
+}
 
 type t = {
   rule : H.rule;
@@ -42,9 +49,6 @@ type t = {
   salt : int;
   prng : Prng.t;
   mutable shards : shard array;
-  live : (int, int) Hashtbl.t;
-      (** live item id -> departure; rejects duplicate live ids and is
-          swept lazily so it stays O(live items), not O(ids ever) *)
   max_batch : int;
   mutable stopped : bool;
 }
@@ -78,7 +82,7 @@ let serve_max_series = 512
 let make_shard rule ~dims ~label =
   let gref = ref None in
   let factory store =
-    let g = Fit_group.create ~rule ~label () in
+    let g = Fit_group.create ~rule ~dims ~label () in
     gref := Some g;
     Fit_group.policy_of g store
   in
@@ -86,7 +90,7 @@ let make_shard rule ~dims ~label =
     Engine.Interactive.start ~retire:true ~retain_released:false
       ~max_series:serve_max_series ~dims factory
   in
-  { eng; group = Option.get !gref }
+  { eng; group = Option.get !gref; live = Hashtbl.create 256 }
 
 let create ?(shards = 1) ?(dims = 1) ?(seed = 0) ?(max_batch = 512) rule =
   if shards < 1 then invalid_arg "Serve.create: shards must be >= 1";
@@ -102,7 +106,6 @@ let create ?(shards = 1) ?(dims = 1) ?(seed = 0) ?(max_batch = 512) rule =
     shards =
       Array.init shards (fun i ->
           make_shard rule ~dims ~label:(shard_label rule ~shards i));
-    live = Hashtbl.create 256;
     max_batch;
     stopped = false;
   }
@@ -164,37 +167,29 @@ let of_json ?(max_batch = 512) j =
       Fit_group.policy_of g store
     in
     let eng = Engine.Interactive.of_snapshot factory (member "engine") in
-    { eng; group = Option.get !gref }
+    (* The live-id table is derivable state: rebuild it from the
+       shard's arena rather than trusting (or storing) a second copy. *)
+    let live = Hashtbl.create 256 in
+    let blk = Engine.Interactive.item_block eng in
+    Item_block.iter_live
+      (fun slot -> Hashtbl.replace live (Item_block.id blk slot) (Item_block.departure blk slot))
+      blk;
+    { eng; group = Option.get !gref; live }
   in
   let shards =
     match field "shards" with
     | Json.List (_ :: _ as l) -> Array.of_list (List.map restore_shard l)
     | _ -> fail "shards: expected non-empty list"
   in
-  let t =
-    {
-      rule;
-      dims;
-      salt = int "salt";
-      prng = Prng.of_json (field "prng");
-      shards;
-      live = Hashtbl.create 256;
-      max_batch;
-      stopped = false;
-    }
-  in
-  (* The live-id table is derivable state: rebuild it from the shards'
-     arenas rather than trusting (or storing) a second copy. *)
-  Array.iter
-    (fun s ->
-      let blk = Engine.Interactive.item_block s.eng in
-      Item_block.iter_live
-        (fun slot ->
-          Hashtbl.replace t.live (Item_block.id blk slot)
-            (Item_block.departure blk slot))
-        blk)
-    t.shards;
-  t
+  {
+    rule;
+    dims;
+    salt = int "salt";
+    prng = Prng.of_json (field "prng");
+    shards;
+    max_batch;
+    stopped = false;
+  }
 
 let snapshot_to_file t path =
   (* Write-then-rename so a crash mid-write never leaves a torn
@@ -320,100 +315,65 @@ let stats_line t =
   Printf.sprintf "ok cost=%d open=%d opened=%d max=%d items=%d clock=%d shards=%d"
     !cost !open_now !opened !max_open !items !clock (Array.length t.shards)
 
-(* Amortized sweep of the live-id table: once it holds more than twice
-   the items actually in flight (plus slack), walk it and drop every id
-   whose departure its shard has already processed. Each entry is
-   inserted once and swept at most once per crossing of the threshold,
-   so the daemon's footprint tracks live items even across years of
-   churn — the table cannot become the slow leak it exists to prevent. *)
-let sweep_live t =
-  let in_flight =
-    Array.fold_left
-      (fun acc s ->
-        acc + Item_block.live (Engine.Interactive.item_block s.eng))
-      0 t.shards
-  in
-  if Hashtbl.length t.live > 64 + (2 * in_flight) then begin
-    let stale =
-      Hashtbl.fold
-        (fun id dep acc ->
-          if dep <= Engine.Interactive.now t.shards.(shard_of_id t id).eng then
-            id :: acc
-          else acc)
-        t.live []
-    in
-    List.iter (Hashtbl.remove t.live) stale
+(* Amortized sweep of a shard's live-id table: once it holds more than
+   twice the items actually in flight (plus slack), drop every id whose
+   departure the shard has already processed. Each entry is inserted
+   once and swept at most once per crossing of the threshold, so the
+   daemon's footprint tracks live items even across years of churn —
+   the table cannot become the slow leak it exists to prevent. *)
+let sweep_live s =
+  let in_flight = Item_block.live (Engine.Interactive.item_block s.eng) in
+  if Hashtbl.length s.live > 64 + (2 * in_flight) then begin
+    let now = Engine.Interactive.now s.eng in
+    Hashtbl.filter_map_inplace (fun _ dep -> if dep <= now then None else Some dep) s.live
   end
 
-let place_one t s (r : Item.t) =
-  match Engine.Interactive.arrive t.shards.(s).eng r with
-  | bin -> Printf.sprintf "ok %d:%d" s bin
-  | exception Invalid_argument msg -> "err " ^ msg
+(* One place inside its shard's in-order sub-batch, behind the live-id
+   check. An id always routes to the same shard, so the shard's own
+   table decides the check, against the shard's clock as it stands
+   now — the answer the line gets whatever batch it arrives in. *)
+let place_checked t s (r : Item.t) =
+  let sh = t.shards.(s) in
+  match Hashtbl.find_opt sh.live r.id with
+  | Some dep when dep > Engine.Interactive.now sh.eng ->
+      Printf.sprintf "err item id %d is still live (departs at %d)" r.id dep
+  | _ -> (
+      match Engine.Interactive.arrive sh.eng r with
+      | bin ->
+          (* Only a placement that actually happened marks its id live;
+             a rejected one (arrival in the past) must not poison later
+             reuse of the id. *)
+          Hashtbl.replace sh.live r.id r.departure;
+          Printf.sprintf "ok %d:%d" s bin
+      | exception Invalid_argument msg -> "err " ^ msg)
 
 (* A run of consecutive [place] commands fans out across shards: the
    routing (and every response) is a function of the command sequence
-   alone, so the per-shard sub-batches can execute on any domain in any
-   order — [Pool.map]'s ordered gather puts the responses back in
-   arrival positions. Everything else is a barrier handled inline. *)
+   alone, and each shard touches only its own engine and live-id table,
+   so the per-shard sub-batches can execute on any domain in any order —
+   [Pool.map]'s ordered gather puts the responses back in arrival
+   positions. Everything else is a barrier handled inline. *)
 let exec_places t cmds resp lo hi =
   let nshards = Array.length t.shards in
-  let routed = Array.make (hi - lo) (-1) in
-  let seen = Hashtbl.create 16 in
-  for k = lo to hi - 1 do
-    match cmds.(k) with
-    | Place r ->
-        let s = shard_of_id t r.id in
-        if Hashtbl.mem seen r.id then
-          resp.(k) <-
-            Printf.sprintf "err item id %d already placed in this batch" r.id
-        else begin
-          match Hashtbl.find_opt t.live r.id with
-          | Some dep when dep > Engine.Interactive.now t.shards.(s).eng ->
-              resp.(k) <-
-                Printf.sprintf "err item id %d is still live (departs at %d)"
-                  r.id dep
-          | _ ->
-              Hashtbl.add seen r.id ();
-              routed.(k - lo) <- s
-        end
-    | _ -> assert false
-  done;
   if nshards = 1 then
     for k = lo to hi - 1 do
-      if routed.(k - lo) >= 0 then
-        match cmds.(k) with
-        | Place r -> resp.(k) <- place_one t 0 r
-        | _ -> assert false
+      match cmds.(k) with Place r -> resp.(k) <- place_checked t 0 r | _ -> assert false
     done
   else begin
     let work = Array.make nshards [] in
     for k = hi - 1 downto lo do
-      let s = routed.(k - lo) in
-      if s >= 0 then
-        match cmds.(k) with
-        | Place r -> work.(s) <- (k, r) :: work.(s)
-        | _ -> assert false
+      match cmds.(k) with
+      | Place r ->
+          let s = shard_of_id t r.id in
+          work.(s) <- (k, r) :: work.(s)
+      | _ -> assert false
     done;
     Pool.with_default (fun pool ->
         Pool.map pool
-          (fun s ->
-            List.map (fun (k, r) -> (k, place_one t s r)) work.(s))
+          (fun s -> List.map (fun (k, r) -> (k, place_checked t s r)) work.(s))
           (List.init nshards Fun.id))
     |> List.iter (List.iter (fun (k, line) -> resp.(k) <- line))
-  end;
-  (* Only a placement that actually happened marks its id live; a
-     rejected one (arrival in the past) must not poison later reuse of
-     the id. *)
-  for k = lo to hi - 1 do
-    if
-      routed.(k - lo) >= 0
-      && String.length resp.(k) >= 2
-      && String.sub resp.(k) 0 2 = "ok"
-    then
-      match cmds.(k) with
-      | Place r -> Hashtbl.replace t.live r.id r.departure
-      | _ -> assert false
-  done
+  end
 
 let exec_one t = function
   | Place _ -> assert false (* runs of places go through exec_places *)
@@ -468,7 +428,7 @@ let exec_batch t lines =
   done;
   Metrics.add m_commands n;
   Array.iter (fun r -> if String.length r >= 3 && String.sub r 0 3 = "err" then Metrics.incr m_errors) resp;
-  sweep_live t;
+  Array.iter sweep_live t.shards;
   resp
 
 (* --- the serving loop --- *)
@@ -504,11 +464,13 @@ let run t conn =
         else Buffer.add_char partial c
       done
   in
-  while not (t.stopped || (!eof && Vec.length lines = 0)) do
+  (* Lines already read are answered even after a [quit] (with the
+     shutdown error), so where [max_batch] cuts them changes nothing. *)
+  while not ((t.stopped || !eof) && Vec.length lines = 0) do
     (* Drain whatever the client has already written (batching), but
        never block while holding unanswered commands. *)
     while
-      (not !eof)
+      (not (t.stopped || !eof))
       && Vec.length lines < t.max_batch
       && (Vec.length lines = 0 || conn.ready ())
     do
@@ -523,8 +485,15 @@ let run t conn =
       conn.flush ()
     end;
     if Vec.length lines > 0 then begin
-      let batch = Vec.to_array lines in
-      Vec.clear_shrink lines;
+      (* One read may queue more than [max_batch] lines; the rest move
+         to the front and wait for the next pass. *)
+      let n = min t.max_batch (Vec.length lines) in
+      let batch = Array.init n (Vec.get lines) in
+      let rest = Vec.length lines - n in
+      for k = 0 to rest - 1 do
+        Vec.set lines k (Vec.get lines (n + k))
+      done;
+      if rest = 0 then Vec.clear_shrink lines else Vec.truncate lines rest;
       Metrics.incr m_batches;
       Metrics.observe m_batch_fill (Array.length batch);
       let resp = exec_batch t batch in

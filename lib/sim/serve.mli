@@ -25,7 +25,7 @@
     Sizes are floats in (0, 1] as in the CSV format; a vector daemon
     ([dims > 1]) requires exactly [dims] size fields per place. Item
     ids must be unique among {e live} items; an id may be reused once
-    its departure tick has been processed. [stats] reads the live
+    its shard has processed its departure tick. [stats] reads the live
     store aggregates — [cost] counts {e closed} bins' usage, so after
     [depart <horizon>] past every departure it equals the offline
     {!Engine.run} cost of the same sequence (the [dbp drive] check).
@@ -94,7 +94,8 @@ type conn = {
 
 val run : t -> conn -> unit
 (** Serve the connection until [quit] or end of input: repeatedly drain
-    every line the client has already written (up to [max_batch]),
-    execute the batch, send the responses, flush. Never blocks while
+    the lines the client has already written, execute at most
+    [max_batch] of them as one batch (the rest wait for the next pass),
+    send the responses, flush. Never blocks while
     holding unanswered commands. An unterminated final line is answered
     with an error, mirroring {!Io.of_channel}'s framing rule. *)

@@ -199,11 +199,11 @@ fi
 echo "stream: $best items/s >= $throughput_floor"
 
 # Best-Fit rides its own gate: BF pays a successor lookup per
-# placement (the Fit_tree sorted-key mode) instead of FF's pure
+# placement (the fit index's sorted-key mode) instead of FF's pure
 # descent, so a regression there is invisible to the FF gate. ~100k
 # items keeps the three runs cheap; single runs measure 0.77-1.08M
-# items/s, so the 800k floor still sits ~2.5x above the pre-Fit_tree
-# BF (~0.3M) while tolerating a noisy box.
+# items/s, so the 800k floor still sits ~2.5x above the scanning BF
+# (~0.3M) while tolerating a noisy box.
 echo "stream: BF throughput floor on the 100k-item cloud trace (best of 3)"
 bf_floor=800000
 bf_best=0
@@ -231,25 +231,50 @@ for p in HA CDFF FF BF WF NF CD RT SpanGreedy; do
 done
 echo "stream: all 9 policies bit-identical to Engine.run"
 
-# Vector (d-dimensional) smoke: a d=2 cloud trace streamed through FF
-# must verify bit-identical against the materializing Engine.run, for
-# each resource shape. The per-dimension packing validator itself runs
-# inside the 500-case fuzz gate above (families general2d, cloud2d,
-# aligned3d) and in the test suite; this exercises the CLI surface and
-# the chunked emitters' vector draw schedule end to end. The scalar
-# throughput floors above are unaffected: d=1 runs never touch the
-# vector paths.
-echo "stream: d=2 cloud-trace FF vector smoke (--dims 2, all shapes)"
+# Vector (d-dimensional) smoke: a d=2 cloud trace streamed through
+# every policy must verify bit-identical against the materializing
+# Engine.run, for each resource shape. The per-dimension packing
+# validator itself runs inside the 500-case fuzz gate above (families
+# general2d, cloud2d, aligned3d) and in the test suite; this exercises
+# the CLI surface and the chunked emitters' vector draw schedule end to
+# end.
+echo "stream: d=2 cloud-trace vector smoke (--dims 2, all shapes, all 9 policies)"
 for shape in independent correlated:0.8 adversarial; do
-  dune exec bin/main.exe -- stream --workload cloud --days 2 --rate 3 \
-    --seed 2 --dims 2 --shape "$shape" --policy FF --verify \
-    > "$tmpdir/vec.txt" 2>&1 || {
-    echo "FAIL: d=2 FF stream ($shape) differs from Engine.run" >&2
-    cat "$tmpdir/vec.txt" >&2
-    exit 1
-  }
+  for p in HA CDFF FF BF WF NF CD RT SpanGreedy; do
+    dune exec bin/main.exe -- stream --workload cloud --days 2 --rate 3 \
+      --seed 2 --dims 2 --shape "$shape" --policy "$p" --verify \
+      > "$tmpdir/vec.txt" 2>&1 || {
+      echo "FAIL: d=2 $p stream ($shape) differs from Engine.run" >&2
+      cat "$tmpdir/vec.txt" >&2
+      exit 1
+    }
+  done
 done
-echo "stream: d=2 FF verified bit-identical for all three shapes"
+echo "stream: d=2 verified bit-identical for all 9 policies and three shapes"
+
+# Vector throughput gate: First-Fit at d=2 answers each arrival with one
+# multi-column query of the fit index (every dimension's residual is a
+# column, the item's sizes are the thresholds), so a regression there
+# is invisible to the scalar gates above. Best of 3 runs on the
+# 100k-item trace. Six best-of-3 sets measured 0.75-1.25M items/s on
+# this shared box (single runs 0.67-1.25M, against ~0.18-0.23M for the
+# dimension-0 scan it replaced), so the 640k floor sits ~15% under the
+# worst best-of-3.
+echo "stream: d=2 FF throughput floor on the 100k-item cloud trace (best of 3)"
+vec_floor=640000
+vec_best=0
+for run in 1 2 3; do
+  if [ "$vec_best" -ge "$vec_floor" ]; then break; fi
+  dune exec bin/main.exe -- stream --workload cloud --days 6 --rate 20 \
+    --seed 1 --dims 2 --shape correlated:0.8 --policy FF > "$tmpdir/vff$run.txt"
+  t=$(sed -n 's/^throughput=\([0-9][0-9]*\) .*/\1/p' "$tmpdir/vff$run.txt")
+  if [ -n "$t" ] && [ "$t" -gt "$vec_best" ]; then vec_best=$t; fi
+done
+if [ "$vec_best" -lt "$vec_floor" ]; then
+  echo "FAIL: best d=2 FF throughput $vec_best items/s below floor $vec_floor" >&2
+  exit 1
+fi
+echo "stream: d=2 FF $vec_best items/s >= $vec_floor"
 
 # Recourse gate. Four properties of the bounded-recourse wrapper:
 # (1) --recourse 0 is bit-identical to not passing the flag at all (the

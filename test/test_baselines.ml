@@ -28,7 +28,7 @@ let test_wf_behaviour () =
 
 (* The tie-break contract DESIGN.md pins: among equally-tight (BF) or
    equally-roomy (WF) bins, the earliest-opened bin wins — the behavior
-   a naive left-to-right scan had, preserved by the Fit_tree rewiring. *)
+   a naive left-to-right scan had, kept by the log-time fit index. *)
 let test_bf_wf_tie_break () =
   List.iter
     (fun (name, factory) ->
@@ -156,6 +156,130 @@ let prop_pinning_ff_closed_form =
       res.cost = Dbp_workloads.Pinning.ff_cost_closed_form ~groups:mu ~mu)
     QCheck2.Gen.(int_range 2 24)
 
+(* --- vector choices against a naive scan ---
+
+   At d > 1 the validator only checks feasibility and [Naive] reruns the
+   same policy, so nothing else pins which bin a vector policy picks.
+   Before each arrival the wrapper below recomputes the choice by
+   scanning the store's open bins in opening order with the rules of
+   DESIGN.md ("Vector loads"): fit means fit in every dimension; FF
+   takes the first fitting bin, NF only its last bin, BF/WF the
+   smallest/largest L1 residual (earliest on ties), SpanGreedy the
+   first covered bin, else the latest horizon when that extension
+   beats the item's duration. [None] means "open a new bin". *)
+
+type vrule = VFF | VNF | VBF | VWF | VSG
+
+let naive_vector_choice rule store (r : Item.t) ~last ~horizon =
+  let dims = Bin_store.dims store in
+  let need k = if k = 0 then Load.to_units r.size else r.extra.(k - 1) in
+  let fits b =
+    List.for_all
+      (fun k -> Bin_store.residual_units_dim store b k >= need k)
+      (List.init dims Fun.id)
+  in
+  let l1 b =
+    List.fold_left
+      (fun acc k -> acc + Bin_store.residual_units_dim store b k)
+      0 (List.init dims Fun.id)
+  in
+  let fitting = List.filter fits (Bin_store.open_bins store) in
+  (* First bin maximizing [key] — strict comparison keeps the earliest. *)
+  let arg_max key =
+    List.fold_left
+      (fun best b ->
+        match best with Some c when key c >= key b -> best | _ -> Some b)
+      None fitting
+  in
+  match rule with
+  | VFF -> (match fitting with b :: _ -> Some b | [] -> None)
+  | VNF -> (
+      match last with
+      | Some b when Bin_store.is_open store b && fits b -> Some b
+      | _ -> None)
+  | VBF -> arg_max (fun b -> -l1 b)
+  | VWF -> arg_max l1
+  | VSG -> (
+      let h b = Hashtbl.find horizon b in
+      match List.find_opt (fun b -> h b >= r.departure) fitting with
+      | Some b -> Some b
+      | None -> (
+          match arg_max h with
+          | Some b when r.departure - h b < Item.duration r -> Some b
+          | _ -> None))
+
+(* Runs [factory] on [inst] and counts the arrivals whose bin differs
+   from the naive choice. *)
+let vector_mismatches rule factory inst =
+  let arrivals = ref 0 and mismatches = ref 0 in
+  let checked store =
+    let p = factory store in
+    let last = ref None and horizon = Hashtbl.create 64 in
+    {
+      p with
+      Policy.on_arrival =
+        (fun ~now (r : Item.t) ->
+          let want = naive_vector_choice rule store r ~last:!last ~horizon in
+          let opened = Bin_store.bins_opened store in
+          let b = p.Policy.on_arrival ~now r in
+          incr arrivals;
+          let ok =
+            match want with
+            | Some w -> b = w
+            | None -> Bin_store.bins_opened store = opened + 1
+          in
+          if not ok then incr mismatches;
+          last := Some b;
+          let h = Option.value (Hashtbl.find_opt horizon b) ~default:0 in
+          Hashtbl.replace horizon b (max h r.departure);
+          b);
+    }
+  in
+  ignore (Engine.run checked inst);
+  (!arrivals, !mismatches)
+
+let test_vector_choices_match_naive () =
+  let open Dbp_workloads in
+  let rules =
+    [
+      ("FF", VFF, Any_fit.first_fit);
+      ("NF", VNF, Any_fit.next_fit);
+      ("BF", VBF, Any_fit.best_fit);
+      ("WF", VWF, Any_fit.worst_fit);
+      ("SpanGreedy", VSG, Span_greedy.policy);
+    ]
+  in
+  List.iter
+    (fun dims ->
+      List.iter
+        (fun shape ->
+          let resource = { Resource_shape.dims; shape; dim_mu = [||] } in
+          let instances =
+            [
+              ( "general",
+                Dbp_experiments.Workload_defs.general_vec ~resource ~mu:32 ~seed:7 );
+              ( "cloud",
+                Cloud_traces.generate
+                  ~config:{ Cloud_traces.default with days = 1; base_rate = 1.0; resource }
+                  ~seed:7 () );
+            ]
+          in
+          List.iter
+            (fun (wname, inst) ->
+              List.iter
+                (fun (pname, rule, factory) ->
+                  let name =
+                    Printf.sprintf "%s d=%d %s %s" wname dims
+                      (Resource_shape.shape_to_string shape) pname
+                  in
+                  let arrivals, mismatches = vector_mismatches rule factory inst in
+                  check_bool (name ^ ": ran") true (arrivals > 0);
+                  check_int (name ^ ": bins differing from the naive scan") 0 mismatches)
+                rules)
+            instances)
+        [ Resource_shape.Independent; Correlated 0.8; Adversarial ])
+    [ 2; 3 ]
+
 let suite =
   [
     case "first fit" test_ff_behaviour;
@@ -171,6 +295,7 @@ let suite =
     case "span greedy covered bin" test_span_greedy_prefers_covered_bin;
     case "span greedy opens" test_span_greedy_opens_when_cheaper;
     case "non-clairvoyant wrapper" test_non_clairvoyant_wrapper;
+    case "vector choices match a naive scan" test_vector_choices_match_naive;
     prop_all_above_lower_bound;
     prop_ff_ignores_durations;
     prop_pinning_ff_closed_form;

@@ -5,7 +5,7 @@ open Helpers
 (* Minimal First-Fit policy, defined directly on the sim primitives so
    the engine tests do not depend on the baselines library. *)
 let ff store =
-  let g = Fit_group.create ~label:"FF" () in
+  let g = Fit_group.create ~dims:(Bin_store.dims store) ~label:"FF" () in
   {
     Policy.name = "FF";
     on_arrival = (fun ~now r -> Fit_group.place g store ~now r);

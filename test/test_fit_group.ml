@@ -3,7 +3,7 @@ open Dbp_instance
 open Dbp_sim
 open Helpers
 
-let setup () = (Bin_store.create (), Fit_group.create ~label:"g" ())
+let setup () = (Bin_store.create (), Fit_group.create ~dims:1 ~label:"g" ())
 
 let test_first_fit_order () =
   let store, g = setup () in
@@ -36,7 +36,7 @@ let test_note_close () =
 
 let test_best_fit_rule () =
   let store = Bin_store.create () in
-  let g = Fit_group.create ~rule:Dbp_binpack.Heuristics.Best_fit ~label:"bf" () in
+  let g = Fit_group.create ~rule:Dbp_binpack.Heuristics.Best_fit ~dims:1 ~label:"bf" () in
   let b0 = Fit_group.place g store ~now:0 (item ~id:1 ~a:0 ~d:9 ~s:0.7) in
   let _b1 = Fit_group.place g store ~now:0 (item ~id:2 ~a:0 ~d:9 ~s:0.5) in
   let b = Fit_group.place g store ~now:0 (item ~id:3 ~a:0 ~d:9 ~s:0.3) in
@@ -44,7 +44,7 @@ let test_best_fit_rule () =
 
 let test_worst_fit_rule () =
   let store = Bin_store.create () in
-  let g = Fit_group.create ~rule:Dbp_binpack.Heuristics.Worst_fit ~label:"wf" () in
+  let g = Fit_group.create ~rule:Dbp_binpack.Heuristics.Worst_fit ~dims:1 ~label:"wf" () in
   let _b0 = Fit_group.place g store ~now:0 (item ~id:1 ~a:0 ~d:9 ~s:0.7) in
   let b1 = Fit_group.place g store ~now:0 (item ~id:2 ~a:0 ~d:9 ~s:0.5) in
   let b = Fit_group.place g store ~now:0 (item ~id:3 ~a:0 ~d:9 ~s:0.3) in
@@ -52,13 +52,24 @@ let test_worst_fit_rule () =
 
 let test_next_fit_rule () =
   let store = Bin_store.create () in
-  let g = Fit_group.create ~rule:Dbp_binpack.Heuristics.Next_fit ~label:"nf" () in
+  let g = Fit_group.create ~rule:Dbp_binpack.Heuristics.Next_fit ~dims:1 ~label:"nf" () in
   let b0 = Fit_group.place g store ~now:0 (item ~id:1 ~a:0 ~d:9 ~s:0.4) in
   let b1 = Fit_group.place g store ~now:0 (item ~id:2 ~a:0 ~d:9 ~s:0.7) in
   check_bool "second bin" true (b0 <> b1);
   (* 0.5 would fit b0, but Next-Fit only considers the latest bin. *)
   let b2 = Fit_group.place g store ~now:0 (item ~id:3 ~a:0 ~d:9 ~s:0.5) in
   check_bool "third bin" true (b2 <> b0 && b2 <> b1)
+
+(* The index's columns follow the group's dims; a store of another
+   dimensionality is refused at the first bin, not misread later. *)
+let test_dims_mismatch () =
+  let store = Bin_store.create ~dims:2 () in
+  let g = Fit_group.create ~dims:1 ~label:"g" () in
+  let r = Item.make_vec ~extra:[| 10 |] ~id:1 ~arrival:0 ~departure:9 ~size:(Load.of_float 0.5) in
+  check_raises_invalid "scalar group, vector store" (fun () ->
+      ignore (Fit_group.place g store ~now:0 r));
+  check_int "refused before any bin opened" 0 (Bin_store.bins_opened store);
+  check_raises_invalid "dims < 1" (fun () -> ignore (Fit_group.create ~dims:0 ~label:"g" ()))
 
 let prop_group_never_overflows =
   qcase ~count:100 ~name:"random place/close keeps bins within capacity"
@@ -94,5 +105,6 @@ let suite =
     case "best fit rule" test_best_fit_rule;
     case "worst fit rule" test_worst_fit_rule;
     case "next fit rule" test_next_fit_rule;
+    case "dims mismatch raises" test_dims_mismatch;
     prop_group_never_overflows;
   ]

@@ -26,7 +26,6 @@ let () =
       ("profile", Test_profile.suite);
       ("reduction", Test_reduction.suite);
       ("ff-index", Test_ff_index.suite);
-      ("fit-tree", Test_fit_tree.suite);
       ("depart-queue", Test_depart_queue.suite);
       ("bin-store", Test_bin_store.suite);
       ("fit-group", Test_fit_group.suite);

@@ -72,8 +72,8 @@ let test_protocol_errors () =
       |]
   in
   check_bool "first ok" true (resp.(0) = "ok 0:0");
-  check_bool "duplicate in batch" true
-    (contains ~sub:"already placed in this batch" resp.(1));
+  check_bool "duplicate of a live id" true
+    (contains ~sub:"still live (departs at 10)" resp.(1));
   check_bool "oversize" true (contains ~sub:"size 1.5 > 1" resp.(2));
   check_bool "dims mismatch" true (contains ~sub:"2 size fields" resp.(3));
   check_bool "unknown verb" true (contains ~sub:"unknown command" resp.(4));
@@ -102,19 +102,85 @@ let test_arrival_in_past_does_not_leak_id () =
 
 (* Responses are a pure function of the command sequence: cutting the
    same lines into different batches (or using more shards' worth of
-   Pool workers) changes nothing. *)
-let test_batch_split_invariance () =
-  let inst = cloud ~seed:5 in
-  let lines =
-    Array.append (place_lines inst)
-      [| Printf.sprintf "depart %d" (horizon inst); "stats" |]
-  in
-  let one_shot = Serve.exec_batch (Serve.create ~shards:3 H.Best_fit) lines in
+   Pool workers) changes nothing — one shot, line by line, and at every
+   two-way cut ([every_cut:false] samples three cuts, for long runs). *)
+let check_split_invariance ?(every_cut = true) name ~shards rule lines =
+  let fresh () = Serve.create ~shards rule in
+  let one_shot = Serve.exec_batch (fresh ()) lines in
   let dribble =
-    let t = Serve.create ~shards:3 H.Best_fit in
+    let t = fresh () in
     Array.map (fun l -> (Serve.exec_batch t [| l |]).(0)) lines
   in
-  check_lines "batching unobservable" one_shot dribble
+  check_lines (name ^ ": line by line") one_shot dribble;
+  let n = Array.length lines in
+  let cuts =
+    if every_cut then List.init (n - 1) (fun i -> i + 1) else [ n / 3; n / 2; 2 * n / 3 ]
+  in
+  List.iter
+    (fun cut ->
+      let t = fresh () in
+      let a = Serve.exec_batch t (Array.sub lines 0 cut) in
+      let b = Serve.exec_batch t (Array.sub lines cut (n - cut)) in
+      check_lines (Printf.sprintf "%s: cut at %d" name cut) one_shot (Array.append a b))
+    cuts
+
+let test_batch_split_invariance () =
+  let inst = cloud ~seed:5 in
+  check_split_invariance ~every_cut:false "cloud trace" ~shards:3 H.Best_fit
+    (Array.append (place_lines inst)
+       [| Printf.sprintf "depart %d" (horizon inst); "stats" |]);
+  (* Id reuse: id 5 departs at 10, and placing id 6 at 20 moves the
+     clock past that, so the third line is a legal reuse however the
+     lines are cut. *)
+  let reuse = [| "place 5 0 10 0.5"; "place 6 20 30 0.5"; "place 5 30 40 0.5" |] in
+  check_split_invariance "id reuse" ~shards:1 H.First_fit reuse;
+  check_lines "id reuse answers"
+    [| "ok 0:0"; "ok 0:0"; "ok 0:0" |]
+    (Serve.exec_batch (Serve.create H.First_fit) reuse);
+  (* The same on a sharded daemon, where each shard's clock runs at its
+     own pace: ids 0-7 come back interleaved with new ids 8-15, so a
+     reuse succeeds once a new id has moved its shard's clock past the
+     old departure and fails before that, and after the barrier some of
+     ids 8-15 are still live on the shard whose clock lags. *)
+  check_split_invariance "sharded id reuse" ~shards:3 H.First_fit
+    (Array.concat
+       [
+         Array.init 8 (fun i -> Printf.sprintf "place %d %d %d 0.4" i i (i + 5));
+         Array.init 16 (fun j ->
+             if j mod 2 = 0 then Printf.sprintf "place %d %d 60 0.1" (8 + (j / 2)) (20 + j)
+             else Printf.sprintf "place %d %d 50 0.3" (j / 2) (20 + j));
+         [| "depart 55" |];
+         Array.init 16 (fun i -> Printf.sprintf "place %d %d %d 0.2" i (i + 56) (i + 70));
+         [| "stats" |];
+       ])
+
+(* One read can carry many commands; the loop still hands
+   [exec_batch] at most [max_batch] of them at a time. *)
+let test_run_respects_max_batch () =
+  let input = Bytes.of_string "place 1 0 10 0.6\nplace 2 0 10 0.6\nstats\nquit\n" in
+  let fed = ref false and flushes = ref 0 and sent = ref [] in
+  let conn =
+    {
+      Serve.recv =
+        (fun buf off len ->
+          if !fed then 0
+          else begin
+            fed := true;
+            assert (len >= Bytes.length input);
+            Bytes.blit input 0 buf off (Bytes.length input);
+            Bytes.length input
+          end);
+      ready = (fun () -> not !fed);
+      send = (fun l -> sent := l :: !sent);
+      flush = (fun () -> incr flushes);
+    }
+  in
+  Serve.run (Serve.create ~max_batch:1 H.First_fit) conn;
+  check_int "one flush per command" 4 !flushes;
+  Alcotest.(check (list string))
+    "responses"
+    [ "ok 0:0"; "ok 0:1"; "ok cost=0 open=2 opened=2 max=2 items=2 clock=0 shards=1"; "ok bye" ]
+    (List.rev !sent)
 
 (* Final stats after depart-past-everything equal the offline replay of
    the same items — the contract `dbp drive --verify` enforces. *)
@@ -208,6 +274,7 @@ let suite =
     case "protocol errors" test_protocol_errors;
     case "rejected arrival does not leak its id" test_arrival_in_past_does_not_leak_id;
     case "batch splits are unobservable" test_batch_split_invariance;
+    case "run respects max_batch" test_run_respects_max_batch;
     case "stats match offline Engine.run" test_matches_offline_engine;
     slow_case "kill-restart-replay FF" (kill_restart_replay H.First_fit ~shards:1 ~seed:3);
     slow_case "kill-restart-replay BF sharded" (kill_restart_replay H.Best_fit ~shards:3 ~seed:4);
